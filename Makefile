@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback bench-factorized serve-smoke check
+.PHONY: build test race vet lint lint-fix-fixtures bench bench-json bench-scale bench-serve bench-feedback serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -46,12 +46,6 @@ bench-serve:
 # on stdout; it fails unless the error shrinks at least 2x.
 bench-feedback:
 	$(GO) run ./cmd/benchall -scale tiny -feedbackjson -
-
-# bench-factorized runs only the factorized-answer sweep (bytes/answer
-# under the factorized vs flat representations); it fails unless the
-# expanded answers are identical to flat and one query compresses 2x.
-bench-factorized:
-	$(GO) run ./cmd/benchall -scale tiny -factorized
 
 # serve-smoke exercises rdfserver + loadgen end to end on an ephemeral port.
 serve-smoke:

@@ -81,7 +81,7 @@ func (db *Database) SharedScanSweep(w io.Writer, queryNames []string, strat core
 		if err != nil {
 			return fmt.Errorf("benchkit: %s baseline re-run: %w", name, err)
 		}
-		if !reflect.DeepEqual(ansOn.Rel.Materialize(), ansOff.Rel.Materialize()) {
+		if !reflect.DeepEqual(ansOn.Rel.Rows, ansOff.Rel.Rows) {
 			return fmt.Errorf("benchkit: %s: shared and baseline rows differ", name)
 		}
 

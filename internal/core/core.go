@@ -98,12 +98,6 @@ type Options struct {
 	// cover-search pricing pools. 0 means runtime.GOMAXPROCS(0); 1 runs
 	// everything serially. Results are identical regardless of the value.
 	Parallelism int
-	// NoFactorized disables the engines' factorized answer
-	// representation (union-of-products relations with lazy expansion) —
-	// an ablation knob for measuring what factorization saves. Expanded
-	// answers and metrics are identical either way; only the stored
-	// footprint of large cross-product results changes.
-	NoFactorized bool
 	// NoSharedScan disables the engines' shared-scan layer (the
 	// per-evaluation pattern-scan memo, merged member scans and
 	// cross-member planning memos), reproducing scan-per-member
@@ -183,10 +177,10 @@ func NewAnswerer(sch *schema.Closed, raw, sat *engine.Engine, opts Options) *Ans
 	}
 	a := &Answerer{sch: sch, raw: raw, sat: sat, opts: opts}
 	if raw != nil {
-		a.raw = raw.WithParallelism(opts.Parallelism).WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
+		a.raw = raw.WithParallelism(opts.Parallelism).WithSharedScan(!opts.NoSharedScan)
 	}
 	if sat != nil {
-		a.sat = sat.WithParallelism(opts.Parallelism).WithSharedScan(!opts.NoSharedScan).WithFactorized(!opts.NoFactorized)
+		a.sat = sat.WithParallelism(opts.Parallelism).WithSharedScan(!opts.NoSharedScan)
 	}
 	return a
 }

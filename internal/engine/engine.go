@@ -187,8 +187,6 @@ type Engine struct {
 	// armObs, when non-nil, is called once per evaluated arm with its
 	// observed result cardinality (see WithArmObserver).
 	armObs func(arm int, rows int64)
-	// noFact disables factorized answer relations (see WithFactorized).
-	noFact bool
 }
 
 // New returns an engine over the store with the given statistics and
@@ -272,27 +270,8 @@ func (e *Engine) WithArmObserver(f func(arm int, rows int64)) *Engine {
 	return &e2
 }
 
-// WithFactorized returns a copy of the engine with factorized answer
-// relations enabled (the default) or disabled. When enabled, an arm
-// whose member plans decompose into variable-disjoint components — and
-// any cartesian arm join — produces a factorized Relation (a
-// cross-product of per-component row groups) instead of expanding the
-// product. Results are identical either way: Len, Cursor, Each and
-// Materialize report and enumerate the logical rows in the flat
-// first-occurrence order, and every budget and metric is charged on the
-// logical expanded cardinality, so disabling the representation changes
-// memory footprint only.
-func (e *Engine) WithFactorized(on bool) *Engine {
-	e2 := *e
-	e2.noFact = !on
-	return &e2
-}
-
 // SharedScan reports whether the shared-scan layer is enabled.
 func (e *Engine) SharedScan() bool { return !e.noShared }
-
-// Factorized reports whether factorized answer relations are enabled.
-func (e *Engine) Factorized() bool { return !e.noFact }
 
 // Parallelism returns the resolved worker count of one evaluation.
 func (e *Engine) Parallelism() int {
@@ -332,8 +311,6 @@ type evalCtx struct {
 	scans *scanCache
 	// shared enables the scan memo and merged member scans.
 	shared bool
-	// fact enables factorized answer relations (see WithFactorized).
-	fact bool
 	// done is the cancellation signal of the evaluation's context, nil
 	// when the engine has no cancelable context: charge then skips the
 	// poll entirely, keeping the uncancellable path zero-cost. cctx is

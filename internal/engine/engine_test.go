@@ -21,9 +21,8 @@ func newEngine(e *testkit.Example, prof engine.Profile) *engine.Engine {
 }
 
 func toRows(r *engine.Relation) naive.Rows {
-	rows := r.Materialize()
-	out := make(naive.Rows, 0, len(rows))
-	for _, row := range rows {
+	out := make(naive.Rows, 0, len(r.Rows))
+	for _, row := range r.Rows {
 		out = append(out, naive.Row(row))
 	}
 	// The naive rows are sorted; sort ours the same way via round trip.

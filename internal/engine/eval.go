@@ -93,7 +93,6 @@ func (e *Engine) EvalArms(head []uint32, arms []ArmSource) (*Relation, Metrics, 
 		span:   e.span,
 		snap:   e.store.Snapshot(),
 		shared: !e.noShared,
-		fact:   !e.noFact,
 	}
 	if e.ctx != nil {
 		ctx.done, ctx.cctx = e.ctx.Done(), e.ctx
@@ -221,12 +220,6 @@ func (e *Engine) evalArms(ctx *evalCtx, head []uint32, arms []ArmSource) (*Relat
 	}
 	if sp := ctx.span; sp != nil {
 		sp.SetInt("rows_out", int64(out.Len()))
-		if f := out.Factorized(); f != nil {
-			sp.SetInt("factorized", 1)
-			sp.SetInt("components", int64(f.Components()))
-			sp.SetInt("stored_rows", f.StoredRows())
-			sp.SetInt("logical_rows", f.LogicalRows())
-		}
 	}
 	return out, nil
 }
@@ -244,9 +237,6 @@ func projectDistinct(ctx *evalCtx, cur *Relation, cols []int, head []uint32) (*R
 	if sp != nil {
 		sp.SetInt("rows_in", int64(cur.Len()))
 		defer sp.End()
-	}
-	if cur.fact != nil && cur.Rows == nil {
-		return projectDistinctFactorized(ctx, sp, cur, cols, head)
 	}
 	if ctx.par > 1 && len(cur.Rows) >= parallelRowThreshold {
 		return projectDistinctParallel(ctx, sp, cur, cols, head)
@@ -304,17 +294,6 @@ func (e *Engine) evalArm(ctx *evalCtx, sp *trace.Span, arm ArmSource) (*Relation
 	if sp != nil {
 		sp.SetInt("members", arm.NumCQs)
 		defer sp.End()
-	}
-	// The factorized path intercepts before the parallelism dispatch:
-	// whether an arm factorizes depends on its member plans alone, never
-	// on the worker count, so serial and parallel evaluations stay
-	// byte-identical. An arm that does not decompose reports handled ==
-	// false and falls through unchanged.
-	if ctx.fact {
-		rel, handled, err := e.evalArmFactorized(ctx, sp, arm)
-		if handled || err != nil {
-			return rel, err
-		}
 	}
 	if ctx.par > 1 {
 		return e.evalArmSharded(ctx, sp, arm)

@@ -71,10 +71,10 @@ type Config struct {
 	// (0 = 4 x DefaultTimeout).
 	MaxTimeout time.Duration
 	// MaxResponseBytes caps the encoded size of a query response body.
-	// Answers are streamed from the (possibly factorized) result one row
-	// at a time, so a query whose *expanded* answer set exceeds the cap
-	// is rejected with 413 response_too_large as soon as the cap is hit,
-	// without ever materializing the rest. 0 = unlimited.
+	// Answers are decoded and encoded from the result one row at a time,
+	// so a query whose answer set exceeds the cap is rejected with 413
+	// response_too_large as soon as the cap is hit, without encoding the
+	// rest. 0 = unlimited.
 	MaxResponseBytes int64
 	// Profiles extends or overrides the built-in engine profiles by
 	// name — tests inject tiny-budget profiles this way.
@@ -249,6 +249,11 @@ func statusFor(err error) (int, string) {
 	}
 }
 
+// maxQueryBodyBytes bounds a /query request body. A SPARQL BGP in its
+// JSON envelope takes a few kilobytes; the cap keeps an untrusted client
+// from streaming an unbounded body into the decoder.
+const maxQueryBodyBytes = 1 << 20
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.sem <- struct{}{}:
@@ -263,7 +268,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+				Error:   "request_too_large",
+				Message: fmt.Sprintf("request body exceeds the %d-byte limit", maxQueryBodyBytes),
+			})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad_request", Message: err.Error()})
 		return
 	}
@@ -333,12 +346,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 var errResponseTooLarge = errors.New("server: encoded response exceeds the size limit")
 
 // encodeQueryResponse writes the QueryResponse JSON into buf by
-// streaming the answer rows through the result's cursor: a factorized
-// result is expanded and decoded one row at a time, so the only full
-// copy of a large cross-product answer ever built is the response body
-// itself — and with limit > 0 not even that: encoding stops with
-// errResponseTooLarge the moment the body outgrows the cap, before any
-// header is written.
+// streaming the answer rows out of the result: each row is decoded and
+// encoded in turn, so the only full decoded copy of a large answer ever
+// built is the response body itself — and with limit > 0 not even that:
+// encoding stops with errResponseTooLarge the moment the body outgrows
+// the cap, before any header is written.
 func encodeQueryResponse(buf *bytes.Buffer, res *repro.Result, strategy, profile string, elapsedMS float64, limit int64) error {
 	field := func(v any) {
 		data, err := json.Marshal(v)

@@ -708,3 +708,45 @@ func TestMaxResponseBytesCaps(t *testing.T) {
 		t.Fatalf("streamed answer differs from direct evaluation\n got: %v\nwant: %v", got, want)
 	}
 }
+
+// A /query body over the size cap must be rejected with 413 and the
+// typed request_too_large code, release its admission slot and not
+// count as served.
+func TestOversizedQueryBodyRejected413(t *testing.T) {
+	st := bookStore(t, 5)
+	_, ts := newTestServer(t, server.Config{Store: st, MaxInflight: 1})
+
+	huge := qPub + strings.Repeat(" ", 1<<20)
+	code, body := postJSON(t, ts.URL+"/query", server.QueryRequest{Query: huge})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /query = %d, want 413: %s", code, body)
+	}
+	var er server.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("413 body is not an ErrorResponse: %v: %s", err, body)
+	}
+	if er.Error != "request_too_large" {
+		t.Fatalf("413 error code = %q, want request_too_large", er.Error)
+	}
+
+	// The single slot was released: an ordinary query still runs.
+	code, body = postJSON(t, ts.URL+"/query", server.QueryRequest{Query: qPub})
+	if code != http.StatusOK {
+		t.Fatalf("POST /query after the rejection = %d, want 200: %s", code, body)
+	}
+	resp, err := http.Get(ts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statz server.StatzResponse
+	err = json.NewDecoder(resp.Body).Decode(&statz)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statz.Served != 1 {
+		t.Errorf("statz served = %d, want 1 (the rejected body must not count)", statz.Served)
+	}
+}

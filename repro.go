@@ -177,12 +177,6 @@ type Options struct {
 	// ablation knob; answers and metrics are identical either way, only
 	// evaluation time changes.
 	NoSharedScan bool
-	// NoFactorized disables the factorized answer representation
-	// (union-of-products relations expanded lazily at the client
-	// boundary) — an ablation knob; expanded answers and metrics are
-	// identical either way, only the stored footprint of cross-product
-	// results changes.
-	NoFactorized bool
 	// Trace, when non-nil, records every query's lifecycle (parse,
 	// optimize, reformulate, evaluate, with per-operator counters) as
 	// children of the given root span. nil disables tracing at zero cost.
@@ -481,7 +475,6 @@ func (s *Store) NewAnswerer(p Profile, opts Options) *Answerer {
 		SearchBudget: opts.SearchBudget,
 		Parallelism:  opts.Parallelism,
 		NoSharedScan: opts.NoSharedScan,
-		NoFactorized: opts.NoFactorized,
 		Trace:        opts.Trace,
 		PlanCache:    opts.PlanCache,
 		Feedback:     opts.Feedback,
@@ -516,10 +509,9 @@ func (a *Answerer) WithTrace(tr *Trace) *Answerer {
 // Params returns the cost-model constants in use.
 func (a *Answerer) Params() CostParams { return a.params }
 
-// Result is an answer set at the surface level. Answers may be held
-// factorized (as a union of cross-products of column groups); NumRows,
-// Each and Boolean never expand the product, Rows expands it on first
-// call.
+// Result is an answer set at the surface level. Answers are held as
+// dictionary IDs; NumRows, Each and Boolean never decode the whole set,
+// Rows decodes it on first call.
 type Result struct {
 	// Vars names the columns (the SELECT variables, in order); empty for
 	// ASK queries.
@@ -529,11 +521,10 @@ type Result struct {
 
 	rel  *engine.Relation
 	dict *dict.Dict
-	rows [][]rdf.Term // decoded expansion, built lazily by Rows
+	rows [][]rdf.Term // decoded answers, built lazily by Rows
 }
 
-// NumRows returns the number of answers without expanding a factorized
-// result.
+// NumRows returns the number of answers without decoding them.
 func (r *Result) NumRows() int {
 	if r.rel == nil {
 		return len(r.rows)
@@ -541,11 +532,10 @@ func (r *Result) NumRows() int {
 	return r.rel.Len()
 }
 
-// Rows expands and decodes the full answer set; Rows()[i][j] is the
-// value of Vars[j]. For an ASK query, a true answer is a single empty
-// row. The expansion is cached, so repeated calls are cheap — but on a
-// large cross-product result it materializes every row; prefer Each to
-// stream.
+// Rows decodes the full answer set; Rows()[i][j] is the value of
+// Vars[j]. For an ASK query, a true answer is a single empty row. The
+// decoding is cached, so repeated calls are cheap — but on a large
+// result it holds every decoded row; prefer Each to stream.
 func (r *Result) Rows() [][]rdf.Term {
 	if r.rows == nil && r.rel != nil {
 		rows := make([][]rdf.Term, 0, r.rel.Len())
@@ -558,9 +548,8 @@ func (r *Result) Rows() [][]rdf.Term {
 	return r.rows
 }
 
-// Each streams the decoded answers in their canonical order, expanding a
-// factorized result one row at a time; f returning false stops the
-// iteration. Each row slice is freshly allocated and may be retained.
+// Each streams the decoded answers in their canonical order, decoding
+// one row at a time; f returning false stops the iteration. Each row slice is freshly allocated and may be retained.
 func (r *Result) Each(f func(row []rdf.Term) bool) {
 	if r.rows != nil || r.rel == nil {
 		for _, row := range r.rows {
@@ -577,16 +566,6 @@ func (r *Result) Each(f func(row []rdf.Term) bool) {
 		}
 		return f(out)
 	})
-}
-
-// StoredBytes estimates the bytes held by the answer representation —
-// for a factorized result, the component columns rather than the
-// expanded product. Divide by NumRows for bytes per answer.
-func (r *Result) StoredBytes() int64 {
-	if r.rel == nil {
-		return 0
-	}
-	return r.rel.StoredBytes()
 }
 
 // Boolean interprets the result as an ASK answer: true when the BGP has

@@ -28,7 +28,4 @@ echo "==> scripts/serve_smoke.sh (query service end-to-end)"
 echo "==> benchall -feedback (adaptive-cost convergence smoke)"
 go run ./cmd/benchall -scale tiny -feedback
 
-echo "==> benchall -factorized (factorized-answer equality smoke)"
-go run ./cmd/benchall -scale tiny -factorized
-
 echo "All checks passed."
