@@ -239,7 +239,9 @@ func BenchmarkReformulate(b *testing.B) {
 }
 
 // BenchmarkCoverSearch measures the two search algorithms' optimization
-// stage on a mid-size and a large query.
+// stage on a small, a mid-size and a large LUBM query, and ECov on DBLP
+// Q10, the ten-atom query whose enumeration stops at the MaxCovers bound
+// (100,000 covers) — the per-cover enumeration and pricing loop.
 func BenchmarkCoverSearch(b *testing.B) {
 	db := lubmDB(b)
 	a := db.Answerer(engine.Native, core.Options{})
@@ -255,6 +257,16 @@ func BenchmarkCoverSearch(b *testing.B) {
 			})
 		}
 	}
+	dblp := dblpDB(b)
+	da := dblp.Answerer(engine.Native, core.Options{})
+	qi := dblp.QueryIndex("Q10")
+	b.Run("DBLP/Q10/ecov", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := da.ChooseCover(dblp.Encoded[qi], core.ECov); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkStrategyEvaluation measures full answering per strategy on
@@ -302,7 +314,7 @@ func BenchmarkParallelJUCQ(b *testing.B) {
 
 // BenchmarkParallelCoverSearch measures the cover searches' optimization
 // stage serially versus on all cores — the concurrent pricing pool over
-// the shared fragment and cost memos.
+// the shared fragment memo.
 func BenchmarkParallelCoverSearch(b *testing.B) {
 	db := lubmDB(b)
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {

@@ -542,18 +542,19 @@ func (a *Answerer) chooseCover(ctx context.Context, q bgp.CQ, strategy Strategy)
 	case UCQ:
 		c = cover.WholeQuery(len(q.Atoms))
 		rep.CoversExplored = 1
+		rep.EstimatedCost = s.coverCost(c)
 	case SCQ:
 		c = cover.PerAtom(len(q.Atoms))
 		rep.CoversExplored = 1
+		rep.EstimatedCost = s.coverCost(c)
 	case GCov:
-		c, rep.CoversExplored = s.gcov()
+		c, rep.EstimatedCost, rep.CoversExplored = s.gcov()
 	case ECov:
-		c, rep.CoversExplored, rep.Exhaustive = s.ecov()
+		c, rep.EstimatedCost, rep.CoversExplored, rep.Exhaustive = s.ecov()
 	default:
 		return nil, Report{}, nil, fmt.Errorf("core: unknown strategy %q", strategy)
 	}
 	rep.Cover = c
-	rep.EstimatedCost = s.coverCost(c)
 	rep.EstimatedRows = s.finalCorr
 	for _, f := range c {
 		info := s.frag(f)

@@ -1,13 +1,20 @@
 package core_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/naive"
 	"repro/internal/testkit"
@@ -125,4 +132,120 @@ func TestParallelAnswerRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// ECov's pool prices covers in batches and GCov's develops a round on the
+// pool; neither may make any decision depend on the worker count. On
+// every LUBM and DBLP tiny query, at Parallelism 1, 2 and 8, both
+// searches must report the same cover, effort and bit-identical cost.
+// The neutral DefaultParams keep pricing fixed across answerers (a
+// calibration is timed, so two calibrations price differently). The
+// second bound, 1000 covers, is not a multiple of the pricing batch, so
+// ECov's last batch is a partial one; the default bound is what DBLP Q10
+// stops at.
+func TestParallelSearchBenchmarkQueries(t *testing.T) {
+	lubm, err := benchkit.BuildLUBM(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, err := benchkit.BuildDBLP(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []*benchkit.Database{lubm, dblp} {
+		for _, maxCovers := range []int{0, 1000} {
+			var as []*core.Answerer
+			for _, par := range []int{1, 2, 8} {
+				as = append(as, db.Answerer(engine.Native, core.Options{
+					Params: cost.DefaultParams, Parallelism: par, MaxCovers: maxCovers,
+				}))
+			}
+			for qi, q := range db.Encoded {
+				for _, strat := range []core.Strategy{core.ECov, core.GCov} {
+					name := fmt.Sprintf("%s %s %s MaxCovers=%d", db.Name, db.Specs[qi].Name, strat, maxCovers)
+					wantC, want, err := as[0].ChooseCover(q, strat)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, a := range as[1:] {
+						gotC, got, err := a.ChooseCover(q, strat)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if gotC.Key() != wantC.Key() || got.CoversExplored != want.CoversExplored ||
+							got.Exhaustive != want.Exhaustive || got.TotalCQs != want.TotalCQs ||
+							got.EstimatedCost != want.EstimatedCost {
+							t.Errorf("%s: worker pool #%d chose %v (explored %d, exhaustive %v, %d CQs, cost %v), sequential %v (explored %d, exhaustive %v, %d CQs, cost %v)",
+								name, i+1, gotC, got.CoversExplored, got.Exhaustive, got.TotalCQs, got.EstimatedCost,
+								wantC, want.CoversExplored, want.Exhaustive, want.TotalCQs, want.EstimatedCost)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A context canceled while ECov's pool is pricing — in the middle of a
+// batch, at any realistic timing — must fail the search with the typed
+// engine.ErrCanceled and leave no pricing goroutine behind.
+func TestECovCanceledMidBatch(t *testing.T) {
+	db, err := benchkit.BuildDBLP(benchkit.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := db.Encoded[db.QueryIndex("Q10")] // 100,000 covers: long enough to cancel mid-stream
+	before := runtime.NumGoroutine()
+	for _, par := range []int{2, 8} {
+		a := db.Answerer(engine.Native, core.Options{Params: cost.DefaultParams, Parallelism: par})
+		for _, after := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(after, cancel)
+			_, err := a.AnswerContext(ctx, q, core.ECov)
+			timer.Stop()
+			cancel()
+			if !errors.Is(err, engine.ErrCanceled) {
+				t.Errorf("par %d, canceled after %v: err = %v, want %v", par, after, err, engine.ErrCanceled)
+			}
+		}
+	}
+	// Goroutines that already returned may take a moment to be reaped.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the canceled searches, %d before", n, before)
+	}
+}
+
+// A star of k atoms over one property is symmetric: permuting the atoms
+// maps covers to covers of equal cost, so many covers tie at the
+// minimum, within one pricing batch (k = 4) and across batches (k = 5,
+// 6: 462 and 6,424 covers). ECov must keep the earliest-enumerated of
+// the tied covers at every worker count, as the sequential scan does.
+func TestECovTieBreakMatchesSequential(t *testing.T) {
+	e := testkit.Paper()
+	seq := answererFor(e, engine.Native, core.Options{Params: cost.DefaultParams, Parallelism: 1})
+	for k := 4; k <= 6; k++ {
+		q := bgp.CQ{Head: []bgp.Term{bgp.V(0)}}
+		for i := 1; i <= k; i++ {
+			q.Atoms = append(q.Atoms, bgp.Atom{S: bgp.V(0), P: bgp.C(e.ID("hasAuthor")), O: bgp.V(uint32(i))})
+		}
+		wantC, want, err := seq.ChooseCover(q, core.ECov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{2, 8} {
+			a := answererFor(e, engine.Native, core.Options{Params: cost.DefaultParams, Parallelism: par})
+			gotC, got, err := a.ChooseCover(q, core.ECov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotC.Key() != wantC.Key() || got.CoversExplored != want.CoversExplored || got.EstimatedCost != want.EstimatedCost {
+				t.Errorf("%d-atom star, %d workers: chose %v (explored %d, cost %v), sequential %v (explored %d, cost %v)",
+					k, par, gotC, got.CoversExplored, got.EstimatedCost, wantC, want.CoversExplored, want.EstimatedCost)
+			}
+		}
+	}
 }

@@ -13,19 +13,22 @@ import (
 	"repro/internal/engine"
 	"repro/internal/feedback"
 	"repro/internal/reformulate"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // searcher carries the per-query state of a cover search: the sharing
-// graph, memoized fragment reformulations and statistics, and memoized
-// cover costs. Fragment information is shared across all covers the
-// search prices, which is what keeps ECov affordable on spaces of
-// thousands of covers. The memos are safe for concurrent use so that
-// cover pricing can run on a bounded worker pool (par > 1): ECov prices
-// enumerated covers as they stream out of the enumeration, GCov prices
-// the develop moves of one round concurrently, and both reduce their
-// results deterministically, so the chosen cover is independent of the
-// worker count.
+// graph and memoized fragment reformulations and statistics. Fragment
+// information is shared across all covers the search prices, which is
+// what keeps ECov affordable on spaces of thousands of covers; pricing a
+// cover from it is a few float operations per fragment, so cover costs
+// are not memoized (each search prices every cover once). The fragment
+// memo is safe for concurrent use so that cover pricing can run on a
+// bounded worker pool (par > 1): ECov prices enumerated covers in
+// batches as they stream out of the enumeration, GCov prices the develop
+// moves of one round concurrently, and both reduce their results
+// deterministically, so the chosen cover is independent of the worker
+// count.
 type searcher struct {
 	a     *Answerer
 	q     bgp.CQ
@@ -53,25 +56,26 @@ type searcher struct {
 	done <-chan struct{}
 
 	// Search-effort counters, reported on the optimize trace span by
-	// recordSpan. The memo counters are atomics because pricing workers
-	// bump them concurrently; gcovRounds and prunedByBound are only
-	// touched by gcov's sequential bookkeeping.
+	// recordSpan. The memo and pricing counters are atomics because
+	// pricing workers bump them concurrently; gcovRounds and
+	// prunedByBound are only touched by gcov's sequential bookkeeping.
 	fragComputed  atomic.Int64
 	fragMemoHits  atomic.Int64
 	coversPriced  atomic.Int64
-	costMemoHits  atomic.Int64
 	gcovRounds    int64
 	prunedByBound int64
 
-	// mu guards the memo maps and the parked error below.
+	// mu guards the fragment memo map and the parked error below.
 	mu    sync.Mutex
 	frags map[cover.Fragment]*fragEntry
-	costs map[string]float64
 	// err records the first fragment-reformulation failure. checkQuery
 	// rules those out up front, so this is a belt-and-braces channel: frag
 	// cannot return an error itself without contorting the search loops,
 	// so the failure is parked here and surfaced by ChooseCover.
 	err error
+	// failed is set once err is parked, so the per-cover failure checks
+	// of the searches need no lock on the common path.
+	failed atomic.Bool
 }
 
 // fragEntry is the once-filled memo slot of one fragment: the map under
@@ -108,11 +112,9 @@ func newSearcher(a *Answerer, q bgp.CQ) (*searcher, error) {
 		params: a.opts.Params,
 		scanF:  1,
 		frags:  make(map[cover.Fragment]*fragEntry),
-		costs:  make(map[string]float64),
 		start:  time.Now(),
 		budget: a.opts.SearchBudget,
 	}
-	//lint:ignore lockguard construction: s is not shared until newSearcher returns
 	s.finalCorr = s.final
 	if fb := a.opts.Feedback; fb != nil {
 		//lint:ignore lockguard construction: s is not shared until newSearcher returns
@@ -127,7 +129,6 @@ func newSearcher(a *Answerer, q bgp.CQ) (*searcher, error) {
 		// the (post-dedup) final estimate would make the factor chase
 		// two different ratios.
 		s.finalKey = "q\x00" + q.CanonicalKey()
-		//lint:ignore lockguard construction: s is not shared until newSearcher returns
 		s.finalCorr = fb.Correct(s.finalKey, s.storeV, s.final)
 	}
 	return s, nil
@@ -159,6 +160,9 @@ func (s *searcher) expired() bool {
 
 // failure returns the parked fragment-reformulation error, if any.
 func (s *searcher) failure() error {
+	if !s.failed.Load() {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
@@ -174,7 +178,6 @@ func (s *searcher) recordSpan(sp *trace.Span) {
 	sp.SetInt("frags_reformulated", s.fragComputed.Load())
 	sp.SetInt("frag_memo_hits", s.fragMemoHits.Load())
 	sp.SetInt("covers_priced", s.coversPriced.Load())
-	sp.SetInt("cost_memo_hits", s.costMemoHits.Load())
 	if s.gcovRounds > 0 {
 		sp.SetInt("gcov_rounds", s.gcovRounds)
 		sp.SetInt("pruned_by_bound", s.prunedByBound)
@@ -182,7 +185,6 @@ func (s *searcher) recordSpan(sp *trace.Span) {
 	reg := sp.Registry()
 	reg.Counter("search.frags_reformulated").Add(s.fragComputed.Load())
 	reg.Counter("search.covers_priced").Add(s.coversPriced.Load())
-	reg.Counter("search.cost_memo_hits").Add(s.costMemoHits.Load())
 }
 
 // runParallel runs f(0..n-1) on up to s.par workers, sequentially when
@@ -246,6 +248,7 @@ func (s *searcher) computeFrag(f cover.Fragment) *fragInfo {
 			s.err = err
 		}
 		s.mu.Unlock()
+		s.failed.Store(true)
 		return &fragInfo{cq: cq, ref: &reformulate.Reformulation{}}
 	}
 	info := &fragInfo{cq: cq, ref: ref, numCQs: ref.NumCQs()}
@@ -287,76 +290,45 @@ func (s *searcher) armStats(ref *reformulate.Reformulation) cost.ArmStats {
 			arms *= float64(len(alts))
 		}
 
-		type slotInfo struct {
-			alts     []bgp.Atom
-			sum      float64            // Σ_alt |alt|
-			distinct map[uint32]float64 // per shared variable
-		}
-		slots := make([]slotInfo, len(b.Slots))
-		var buf []uint32
+		// One statistics pass per slot feeds both the scan estimate and
+		// the join-of-unions result estimate.
+		sums := make([]stats.SlotSummary, len(b.Slots))
 		for i, alts := range b.Slots {
-			si := slotInfo{alts: alts, distinct: make(map[uint32]float64)}
-			for _, alt := range alts {
-				c := st.AtomCard(alt)
-				si.sum += c
-				buf = alt.Vars(buf[:0])
-				for j, v := range buf {
-					// Atoms carry at most three variables; a linear dup
-					// scan beats a per-alternative map allocation.
-					if !dupVarBefore(buf, j) {
-						si.distinct[v] += st.DistinctForVar(alt, v)
-					}
-				}
-			}
-			slots[i] = si
+			sums[i] = st.SummarizeSlot(alts)
 		}
-		order := make([]int, len(slots))
+		order := make([]int, len(sums))
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, c int) bool { return slots[order[a]].sum < slots[order[c]].sum })
+		sort.Slice(order, func(a, c int) bool { return sums[order[a]].Card < sums[order[c]].Card })
 
 		// First-atom scans, per member.
-		first := slots[order[0]]
-		if n := float64(len(first.alts)); n > 0 {
-			out.ScanTuples += first.sum * (arms / n)
+		first := sums[order[0]]
+		if n := float64(len(b.Slots[order[0]])); n > 0 {
+			out.ScanTuples += first.Card * (arms / n)
 		}
 
 		// Probe work over the slot unions.
-		bound := make(map[uint32]float64) // var -> smallest distinct so far
-		bindings := first.sum
-		for v, d := range first.distinct {
-			bound[v] = d
+		n := 0
+		for _, sl := range sums {
+			n += len(sl.Vars)
 		}
+		bound := append(make([]stats.VarDistinct, 0, n), first.Vars...)
+		bindings := first.Card
 		for _, idx := range order[1:] {
-			sl := slots[idx]
-			eff := sl.sum
-			for v, d := range sl.distinct {
-				if prev, ok := bound[v]; ok {
-					if m := maxFloat(prev, d); m > 1 {
-						eff /= m
-					}
-					bound[v] = minFloat(prev, d)
-				} else {
-					bound[v] = d
-				}
+			sl := sums[idx]
+			eff := sl.Card
+			for _, vd := range sl.Vars {
+				var m float64
+				bound, m = stats.Bind(bound, vd)
+				eff /= m
 			}
 			out.ScanTuples += bindings * maxFloat(eff, 1)
 			bindings *= maxFloat(eff, 0.001)
 		}
-		out.ResultTuples += st.JoinOfUnionsCard(b.Slots)
+		out.ResultTuples += stats.JoinCard(sums)
 	}
 	return out
-}
-
-// dupVarBefore reports whether vars[i] already occurs in vars[:i].
-func dupVarBefore(vars []uint32, i int) bool {
-	for j := 0; j < i; j++ {
-		if vars[j] == vars[i] {
-			return true
-		}
-	}
-	return false
 }
 
 func maxFloat(a, b float64) float64 {
@@ -366,40 +338,20 @@ func maxFloat(a, b float64) float64 {
 	return b
 }
 
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// coverCost prices one cover's induced JUCQ reformulation, memoized.
-// Pricing is deterministic, so two workers racing on one cover store the
-// same value and the memo stays consistent without a per-key latch.
+// coverCost prices one cover's induced JUCQ reformulation. Pricing is a
+// pure function of the cover, so the cost is bit-for-bit the same
+// whichever worker computes it and however often.
 func (s *searcher) coverCost(c cover.Cover) float64 {
-	key := c.Key()
-	s.mu.Lock()
-	v, ok := s.costs[key]
-	s.mu.Unlock()
-	if ok {
-		s.costMemoHits.Add(1)
-		return v
-	}
 	s.coversPriced.Add(1)
-	switch s.a.opts.Source {
-	case EngineInternal:
-		v = s.engineCost(c)
-	default:
-		arms := make([]cost.ArmStats, len(c))
-		for i, f := range c {
-			arms[i] = s.frag(f).corr
-		}
-		v = s.params.JUCQ(arms, s.finalCorr)
+	if s.a.opts.Source == EngineInternal {
+		return s.engineCost(c)
 	}
-	s.mu.Lock()
-	s.costs[key] = v
-	s.mu.Unlock()
-	return v
+	var buf [8]cost.ArmStats
+	arms := buf[:0]
+	for _, f := range c {
+		arms = append(arms, s.frag(f).corr)
+	}
+	return s.params.JUCQ(arms, s.finalCorr)
 }
 
 // engineCost prices a cover with the engine's internal estimator (the
@@ -421,17 +373,25 @@ func (s *searcher) engineCost(c cover.Cover) float64 {
 	return s.a.raw.EstimateArms(arms)
 }
 
+// ecovBatch is the number of enumerated covers one ECov pricing job
+// carries. Pricing a cover takes about a microsecond, so handing covers
+// to the pool one by one would cost more in channel operations than the
+// pricing itself.
+const ecovBatch = 256
+
 // ecov is the exhaustive search of Section 4.2: enumerate every valid
-// minimal cover, price each, return the cheapest. The enumeration bound
-// and the search budget reproduce the paper's ECov timeout on its largest
-// query. With par > 1 the enumerated covers are priced by a worker pool
-// as they stream out of the enumeration (the bounded job channel applies
-// backpressure, so the MaxCovers bound and the expiry check keep their
-// meaning); ties on cost resolve to the earliest-enumerated cover, which
-// is exactly the cover the sequential scan keeps.
-func (s *searcher) ecov() (best cover.Cover, explored int, exhaustive bool) {
+// minimal cover, price each, return the cheapest and its cost. The
+// enumeration bound and the search budget reproduce the paper's ECov
+// timeout on its largest query. With par > 1 the enumerated covers are
+// priced by a worker pool in batches of ecovBatch as they stream out of
+// the enumeration (the bounded job channel applies backpressure, so the
+// MaxCovers bound and the expiry check keep their meaning); each worker
+// reduces its batch to its earliest-indexed minimum, and ties on cost
+// resolve to the earliest-enumerated cover, which is exactly the cover
+// the sequential scan keeps.
+func (s *searcher) ecov() (best cover.Cover, bestCost float64, explored int, exhaustive bool) {
+	bestCost = math.Inf(1)
 	if s.par <= 1 {
-		bestCost := math.Inf(1)
 		timedOut := false
 		enumerated := s.g.EnumerateMinimal(s.a.opts.MaxCovers, func(c cover.Cover) bool {
 			v := s.coverCost(c)
@@ -450,28 +410,33 @@ func (s *searcher) ecov() (best cover.Cover, explored int, exhaustive bool) {
 			}
 			return true
 		})
-		if best == nil {
-			best = cover.WholeQuery(len(s.q.Atoms))
-		}
-		return best, explored, enumerated && !timedOut
+		best, bestCost = s.orWholeQuery(best, bestCost)
+		return best, bestCost, explored, enumerated && !timedOut
 	}
 
-	type job struct {
-		idx int
-		c   cover.Cover
+	// batch is a run of consecutively enumerated covers; start is the
+	// enumeration index of covers[0].
+	type batch struct {
+		start  int
+		covers []cover.Cover
 	}
+	// priced is a batch reduced to its earliest-indexed cheapest cover;
+	// n counts the covers of the batch that were actually priced.
 	type priced struct {
-		idx int
-		c   cover.Cover
-		v   float64
+		idx, n int
+		c      cover.Cover
+		v      float64
 	}
-	jobs := make(chan job, s.par*2)
-	out := make(chan priced, s.par*2)
+	// One buffered batch per worker lets the enumeration fill the next
+	// batches while every worker prices one; the bound keeps it at most
+	// that far ahead of pricing, so expiry stops it promptly.
+	jobs := make(chan batch, s.par)
+	out := make(chan priced, s.par)
 	// aborted flips when the search must stop early — budget expiry or a
-	// parked fragment failure. Workers then drain their remaining jobs
-	// without pricing them, so the linear shutdown below (close jobs →
-	// join workers → close out → join collector) finishes promptly and
-	// leaves no goroutine behind even when the producer returns early
+	// parked fragment failure. Workers then stop pricing and drain their
+	// remaining jobs, so the linear shutdown below (close jobs → join
+	// workers → close out → join collector) finishes promptly and leaves
+	// no goroutine behind even when the producer returns early
 	// mid-stream.
 	var aborted atomic.Bool
 	var workers sync.WaitGroup
@@ -479,31 +444,41 @@ func (s *searcher) ecov() (best cover.Cover, explored int, exhaustive bool) {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for j := range jobs {
-				if aborted.Load() {
-					continue
+			for b := range jobs {
+				p := priced{idx: -1, v: math.Inf(1)}
+				for i, c := range b.covers {
+					if aborted.Load() {
+						break
+					}
+					v := s.coverCost(c)
+					p.n++
+					if v < p.v {
+						p.idx, p.c, p.v = b.start+i, c, v
+					}
 				}
-				out <- priced{j.idx, j.c, s.coverCost(j.c)}
+				out <- p
 			}
 		}()
 	}
 	done := make(chan struct{})
 	bestIdx := -1
-	bestCost := math.Inf(1)
 	go func() {
 		defer close(done)
 		for p := range out {
-			explored++
-			if p.v < bestCost || (p.v == bestCost && bestIdx >= 0 && p.idx < bestIdx) {
+			explored += p.n
+			if p.idx >= 0 && (p.v < bestCost || (p.v == bestCost && p.idx < bestIdx)) {
 				best, bestCost, bestIdx = p.c, p.v, p.idx
 			}
 		}
 	}()
 	timedOut := false
-	n := 0
+	cur := batch{covers: make([]cover.Cover, 0, ecovBatch)}
 	enumerated := s.g.EnumerateMinimal(s.a.opts.MaxCovers, func(c cover.Cover) bool {
-		jobs <- job{n, c}
-		n++
+		cur.covers = append(cur.covers, c)
+		if len(cur.covers) == ecovBatch {
+			jobs <- cur
+			cur = batch{start: cur.start + ecovBatch, covers: make([]cover.Cover, 0, ecovBatch)}
+		}
 		if s.expired() {
 			timedOut = true
 			aborted.Store(true)
@@ -515,26 +490,39 @@ func (s *searcher) ecov() (best cover.Cover, explored int, exhaustive bool) {
 		}
 		return true
 	})
+	if len(cur.covers) > 0 {
+		jobs <- cur
+	}
 	close(jobs)
 	workers.Wait()
 	close(out)
 	<-done
-	if best == nil {
-		best = cover.WholeQuery(len(s.q.Atoms))
+	best, bestCost = s.orWholeQuery(best, bestCost)
+	return best, bestCost, explored, enumerated && !timedOut
+}
+
+// orWholeQuery falls back to the whole-query cover, priced, when a
+// search kept no cover (none enumerated before expiry, or every cover
+// priced +Inf).
+func (s *searcher) orWholeQuery(best cover.Cover, bestCost float64) (cover.Cover, float64) {
+	if best != nil {
+		return best, bestCost
 	}
-	return best, explored, enumerated && !timedOut
+	c := cover.WholeQuery(len(s.q.Atoms))
+	return c, s.coverCost(c)
 }
 
 // gcov is Algorithm 1: start from the one-triple-per-fragment cover,
 // develop "add a joining triple to a fragment" moves, keep the move list
 // sorted by the estimated cost of the resulting cover, and greedily apply
-// the most promising move while it does not worsen the best cover found.
+// the most promising move while it does not worsen the best cover found;
+// it returns that cover with its cost.
 // With par > 1 one develop round applies and prices its moves on the
 // worker pool, then replays the sequential bookkeeping — budget check
 // before dedup check, explored counting only freshly priced covers, moves
 // inserted in candidate order — so the move list, the explored count, and
 // the chosen cover are identical to the sequential search.
-func (s *searcher) gcov() (cover.Cover, int) {
+func (s *searcher) gcov() (cover.Cover, float64, int) {
 	n := len(s.q.Atoms)
 	c0 := cover.PerAtom(n)
 	best, bestCost := c0, s.coverCost(c0)
@@ -636,7 +624,7 @@ func (s *searcher) gcov() (cover.Cover, int) {
 		}
 		develop(m.c)
 	}
-	return best, explored
+	return best, bestCost, explored
 }
 
 // apply performs one GCov move: extend fragment fi with atom t, then

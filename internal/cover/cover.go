@@ -15,8 +15,10 @@
 package cover
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,10 +49,8 @@ func (f Fragment) ContainsAll(g Fragment) bool { return f&g == g }
 // Atoms returns the atom indexes of the fragment in increasing order.
 func (f Fragment) Atoms() []int {
 	out := make([]int, 0, f.Count())
-	for i := 0; i < MaxAtoms; i++ {
-		if f.Has(i) {
-			out = append(out, i)
-		}
+	for r := uint64(f); r != 0; r &= r - 1 {
+		out = append(out, bits.TrailingZeros64(r))
 	}
 	return out
 }
@@ -76,24 +76,23 @@ type Cover []Fragment
 // NewCover returns a canonical (sorted, deduplicated) cover.
 func NewCover(frags ...Fragment) Cover {
 	c := append(Cover(nil), frags...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	w := 0
-	for i, f := range c {
-		if i == 0 || f != c[i-1] {
-			c[w] = f
-			w++
-		}
-	}
-	return c[:w]
+	slices.Sort(c)
+	return slices.Compact(c)
 }
 
-// Key returns a canonical map key for the cover.
-func (c Cover) Key() string {
-	var b strings.Builder
+// Key returns a canonical map key for the cover: its fragments as
+// fixed-width little-endian words, so equal covers have equal keys.
+func (c Cover) Key() string { return string(c.appendKey(nil, 8)) }
+
+// appendKey appends the cover's key to dst, writing each fragment as its
+// low width bytes. Keys of one width are equal exactly when the covers
+// are, provided no fragment has atoms beyond 8·width.
+func (c Cover) appendKey(dst []byte, width int) []byte {
 	for _, f := range c {
-		fmt.Fprintf(&b, "%x.", uint64(f))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(f))
+		dst = dst[:len(dst)-8+width]
 	}
-	return b.String()
+	return dst
 }
 
 // Union returns the union of all fragments.
@@ -114,11 +113,14 @@ func (c Cover) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Graph is the variable-sharing structure of one query: adj[i][j] reports
-// whether atoms i and j share a variable (the paper's "joins with").
+// Graph is the variable-sharing structure of one query: nbr[i] is the
+// set of atoms that share a variable with atom i (the paper's "joins
+// with"), never including i itself. Atoms at or beyond N have no
+// neighbours, so every predicate is total over all 64-bit fragments.
 type Graph struct {
 	n   int
-	adj [][]bool
+	all Fragment // every atom of the query
+	nbr [MaxAtoms]Fragment
 }
 
 // NewGraph builds the sharing graph of the query. Queries beyond
@@ -129,15 +131,13 @@ func NewGraph(q bgp.CQ) (*Graph, error) {
 	if n > MaxAtoms {
 		return nil, fmt.Errorf("cover: query has %d atoms, limit is %d", n, MaxAtoms)
 	}
-	g := &Graph{n: n, adj: make([][]bool, n)}
-	for i := range g.adj {
-		g.adj[i] = make([]bool, n)
-	}
+	g := &Graph{n: n}
 	for i := 0; i < n; i++ {
+		g.all = g.all.With(i)
 		for j := i + 1; j < n; j++ {
 			if q.Atoms[i].SharesVar(q.Atoms[j]) {
-				g.adj[i][j] = true
-				g.adj[j][i] = true
+				g.nbr[i] = g.nbr[i].With(j)
+				g.nbr[j] = g.nbr[j].With(i)
 			}
 		}
 	}
@@ -148,37 +148,32 @@ func NewGraph(q bgp.CQ) (*Graph, error) {
 func (g *Graph) N() int { return g.n }
 
 // Adjacent reports whether atoms i and j share a variable.
-func (g *Graph) Adjacent(i, j int) bool { return g.adj[i][j] }
+func (g *Graph) Adjacent(i, j int) bool { return g.nbr[i].Has(j) }
 
 // Joins reports whether atom i shares a variable with any atom of f.
-func (g *Graph) Joins(i int, f Fragment) bool {
-	for j := 0; j < g.n; j++ {
-		if f.Has(j) && g.adj[i][j] {
-			return true
-		}
+func (g *Graph) Joins(i int, f Fragment) bool { return g.nbr[i]&f != 0 }
+
+// neighbours returns the atoms adjacent to some atom of f.
+func (g *Graph) neighbours(f Fragment) Fragment {
+	var r Fragment
+	for rest := uint64(f); rest != 0; rest &= rest - 1 {
+		r |= g.nbr[bits.TrailingZeros64(rest)]
 	}
-	return false
+	return r
 }
 
 // FragmentConnected reports whether the fragment's atoms form a single
 // connected component under variable sharing (so its cover query has no
-// cartesian product).
+// cartesian product). It grows the component of the lowest atom one
+// breadth-first frontier at a time.
 func (g *Graph) FragmentConnected(f Fragment) bool {
-	atoms := f.Atoms()
-	if len(atoms) <= 1 {
-		return len(atoms) == 1
+	if f == 0 {
+		return false
 	}
-	seen := Fragment(0).With(atoms[0])
-	stack := []int{atoms[0]}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, j := range atoms {
-			if !seen.Has(j) && g.adj[i][j] {
-				seen = seen.With(j)
-				stack = append(stack, j)
-			}
-		}
+	seen := f & -f
+	for frontier := seen; frontier != 0; {
+		frontier = g.neighbours(frontier) & f &^ seen
+		seen |= frontier
 	}
 	return seen == f
 }
@@ -187,15 +182,7 @@ func (g *Graph) FragmentConnected(f Fragment) bool {
 // either they overlap on an atom, or some atom of a is adjacent to some
 // atom of b.
 func (g *Graph) FragmentsJoin(a, b Fragment) bool {
-	if a&b != 0 {
-		return true
-	}
-	for i := 0; i < g.n; i++ {
-		if a.Has(i) && g.Joins(i, b) {
-			return true
-		}
-	}
-	return false
+	return (a|g.neighbours(a))&b != 0
 }
 
 // Valid reports whether c is a cover per Definition 3.3, with the no-
@@ -203,18 +190,23 @@ func (g *Graph) FragmentsJoin(a, b Fragment) bool {
 // connected, union covering all atoms, no inclusion between fragments,
 // and (if more than one) every fragment joining at least one other.
 func (g *Graph) Valid(c Cover) bool {
-	if len(c) == 0 {
-		return false
+	for _, f := range c {
+		if !g.FragmentConnected(f) {
+			return false
+		}
 	}
-	all := Fragment(0)
-	for i := 0; i < g.n; i++ {
-		all = all.With(i)
-	}
-	if c.Union() != all {
+	return g.validShape(c)
+}
+
+// validShape is Valid without the per-fragment connectivity check: the
+// enumerator checks that once per candidate fragment instead of once per
+// cover it assembles.
+func (g *Graph) validShape(c Cover) bool {
+	if len(c) == 0 || c.Union() != g.all {
 		return false
 	}
 	for i, f := range c {
-		if f == 0 || !g.FragmentConnected(f) {
+		if f == 0 {
 			return false
 		}
 		for j, h := range c {
@@ -225,9 +217,10 @@ func (g *Graph) Valid(c Cover) bool {
 	}
 	if len(c) > 1 {
 		for _, f := range c {
+			reach := f | g.neighbours(f)
 			joins := false
 			for _, h := range c {
-				if h != f && g.FragmentsJoin(f, h) {
+				if h != f && reach&h != 0 {
 					joins = true
 					break
 				}
@@ -244,14 +237,13 @@ func (g *Graph) Valid(c Cover) bool {
 // other fragment covers (the minimal-cover bound the paper cites for the
 // size of the search space).
 func (c Cover) Minimal() bool {
-	for i, f := range c {
-		others := Fragment(0)
-		for j, h := range c {
-			if i != j {
-				others |= h
-			}
-		}
-		if others.ContainsAll(f) {
+	var once, multi Fragment // atoms covered at least once / at least twice
+	for _, f := range c {
+		multi |= once & f
+		once |= f
+	}
+	for _, f := range c {
+		if f&^multi == 0 {
 			return false
 		}
 	}
@@ -281,10 +273,15 @@ func PerAtom(n int) Cover {
 // EnumerateMinimal enumerates every valid minimal cover of the query,
 // calling visit for each; it stops early when visit returns false or
 // after max covers (max <= 0 means unlimited) and reports whether the
-// enumeration was exhaustive.
+// enumeration was exhaustive. Each visited cover is freshly allocated
+// and owned by visit.
+//
+// The emission order is deterministic and part of the contract: ECov
+// resolves cost ties to the earliest-enumerated cover.
 func (g *Graph) EnumerateMinimal(max int, visit func(Cover) bool) (exhaustive bool) {
-	// Candidate fragments: every internally connected non-empty subset.
-	var candidates []Fragment
+	// Candidate fragments: every internally connected non-empty subset,
+	// in discovery order, indexed by the atoms they contain.
+	var byAtom [MaxAtoms][]Fragment
 	seen := make(map[Fragment]bool)
 	var collect func(f Fragment)
 	collect = func(f Fragment) {
@@ -292,7 +289,15 @@ func (g *Graph) EnumerateMinimal(max int, visit func(Cover) bool) (exhaustive bo
 			return
 		}
 		seen[f] = true
-		candidates = append(candidates, f)
+		// Grown one adjacent atom at a time, every candidate is
+		// connected by construction; the check keeps that an invariant
+		// rather than an assumption, once per candidate.
+		if g.FragmentConnected(f) {
+			for rest := uint64(f); rest != 0; rest &= rest - 1 {
+				i := bits.TrailingZeros64(rest)
+				byAtom[i] = append(byAtom[i], f)
+			}
+		}
 		for i := 0; i < g.n; i++ {
 			if !f.Has(i) && g.Joins(i, f) {
 				collect(f.With(i))
@@ -320,8 +325,14 @@ func (g *Graph) EnumerateMinimal(max int, visit func(Cover) bool) (exhaustive bo
 	}
 	exhaustive = true
 	emitted := make(map[string]bool)
-	var rec func(covered Fragment, chosen []Fragment) bool
-	rec = func(covered Fragment, chosen []Fragment) bool {
+	keyWidth := (g.n + 7) / 8 // bytes per fragment: every atom fits
+	var leaf Cover            // reused: the sorted chosen fragments of a leaf
+	var key []byte            // reused: the leaf's canonical key
+	var rec func(covered, multi Fragment, chosen []Fragment) bool
+	// covered is the union of chosen; multi is the set of atoms covered
+	// by at least two chosen fragments, so a chosen fragment h keeps a
+	// private atom after adding f iff h &^ (multi|f) != 0.
+	rec = func(covered, multi Fragment, chosen []Fragment) bool {
 		nodes++
 		if nodes > maxNodes {
 			exhaustive = false
@@ -331,30 +342,23 @@ func (g *Graph) EnumerateMinimal(max int, visit func(Cover) bool) (exhaustive bo
 			exhaustive = false
 			return false
 		}
-		first := -1
-		for i := 0; i < g.n; i++ {
-			if !covered.Has(i) {
-				first = i
-				break
-			}
-		}
-		if first == -1 {
-			c := NewCover(chosen...)
-			if !c.Minimal() || !g.Valid(c) {
+		first := bits.TrailingZeros64(^uint64(covered))
+		if first >= g.n {
+			leaf = append(leaf[:0], chosen...)
+			slices.Sort(leaf)
+			leaf = slices.Compact(leaf)
+			if !leaf.Minimal() || !g.validShape(leaf) {
 				return true
 			}
-			k := c.Key()
-			if emitted[k] {
+			key = leaf.appendKey(key[:0], keyWidth)
+			if emitted[string(key)] {
 				return true
 			}
-			emitted[k] = true
+			emitted[string(key)] = true
 			count++
-			return visit(c)
+			return visit(slices.Clone(leaf))
 		}
-		for _, f := range candidates {
-			if !f.Has(first) {
-				continue
-			}
+		for _, f := range byAtom[first] {
 			// Skip fragments fully covered already: they would be
 			// redundant.
 			if covered.ContainsAll(f) {
@@ -363,14 +367,8 @@ func (g *Graph) EnumerateMinimal(max int, visit func(Cover) bool) (exhaustive bo
 			// Minimality pruning: every already-chosen fragment must
 			// keep an atom that no other fragment (including f) covers.
 			ok := true
-			for i, gch := range chosen {
-				others := f
-				for j, h := range chosen {
-					if j != i {
-						others |= h
-					}
-				}
-				if others.ContainsAll(gch) {
+			for _, h := range chosen {
+				if h&^(multi|f) == 0 {
 					ok = false
 					break
 				}
@@ -378,13 +376,13 @@ func (g *Graph) EnumerateMinimal(max int, visit func(Cover) bool) (exhaustive bo
 			if !ok {
 				continue
 			}
-			if !rec(covered|f, append(chosen, f)) {
+			if !rec(covered|f, multi|covered&f, append(chosen, f)) {
 				return false
 			}
 		}
 		return true
 	}
-	rec(0, nil)
+	rec(0, 0, nil)
 	return exhaustive
 }
 

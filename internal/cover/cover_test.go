@@ -194,33 +194,292 @@ func TestEnumerateLimit(t *testing.T) {
 	}
 }
 
-// Every enumerated cover must be valid and minimal on random query shapes.
+// randomQuery builds a random n-atom query whose atoms draw their
+// subject and object variables from a pool of vars variables: a small
+// pool gives a dense sharing graph, a large one a sparse, often
+// disconnected one.
+func randomQuery(rng *rand.Rand, n, vars int) bgp.CQ {
+	q := bgp.CQ{Head: []bgp.Term{bgp.V(0)}}
+	for i := 0; i < n; i++ {
+		q.Atoms = append(q.Atoms, bgp.Atom{
+			S: bgp.V(uint32(rng.Intn(vars))), P: bgp.C(dict.ID(100 + i)), O: bgp.V(uint32(rng.Intn(vars))),
+		})
+	}
+	return q
+}
+
+// connectedQuery builds a random connected n-atom query: atom i joins a
+// random earlier atom.
+func connectedQuery(rng *rand.Rand, n int) bgp.CQ {
+	q := bgp.CQ{Head: []bgp.Term{bgp.V(0)}}
+	for i := 0; i < n; i++ {
+		prev := uint32(0)
+		if i > 0 {
+			prev = uint32(rng.Intn(i*2 + 1))
+		}
+		q.Atoms = append(q.Atoms, bgp.Atom{
+			S: bgp.V(prev), P: bgp.C(dict.ID(100 + i)), O: bgp.V(uint32(i*2 + 2)),
+		})
+	}
+	return q
+}
+
+// refGraph is a brute-force reference for the Graph predicates: an
+// adjacency matrix and atom-by-atom loops, straight from the
+// definitions.
+type refGraph struct {
+	n   int
+	adj [][]bool
+}
+
+func newRefGraph(q bgp.CQ) *refGraph {
+	n := len(q.Atoms)
+	r := &refGraph{n: n, adj: make([][]bool, n)}
+	for i := range r.adj {
+		r.adj[i] = make([]bool, n)
+		for j := range r.adj[i] {
+			r.adj[i][j] = i != j && q.Atoms[i].SharesVar(q.Atoms[j])
+		}
+	}
+	return r
+}
+
+func (r *refGraph) joins(i int, f Fragment) bool {
+	for j := 0; j < r.n; j++ {
+		if f.Has(j) && r.adj[i][j] {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refGraph) connected(f Fragment) bool {
+	var atoms []int
+	for i := 0; i < r.n; i++ {
+		if f.Has(i) {
+			atoms = append(atoms, i)
+		}
+	}
+	if len(atoms) == 0 {
+		return false
+	}
+	seen := map[int]bool{atoms[0]: true}
+	stack := []int{atoms[0]}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, j := range atoms {
+			if !seen[j] && r.adj[i][j] {
+				seen[j] = true
+				stack = append(stack, j)
+			}
+		}
+	}
+	return len(seen) == len(atoms)
+}
+
+func (r *refGraph) fragmentsJoin(a, b Fragment) bool {
+	for i := 0; i < r.n; i++ {
+		if a.Has(i) && (b.Has(i) || r.joins(i, b)) {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refGraph) valid(c Cover) bool {
+	if len(c) == 0 {
+		return false
+	}
+	var all Fragment
+	for i := 0; i < r.n; i++ {
+		all = all.With(i)
+	}
+	if c.Union() != all {
+		return false
+	}
+	for i, f := range c {
+		if !r.connected(f) {
+			return false
+		}
+		for j, h := range c {
+			if i != j && h&f == f {
+				return false
+			}
+		}
+	}
+	if len(c) > 1 {
+		for _, f := range c {
+			joins := false
+			for _, h := range c {
+				if h != f && r.fragmentsJoin(f, h) {
+					joins = true
+				}
+			}
+			if !joins {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func refMinimal(c Cover) bool {
+	for i, f := range c {
+		var others Fragment
+		for j, h := range c {
+			if i != j {
+				others |= h
+			}
+		}
+		if others&f == f {
+			return false
+		}
+	}
+	return true
+}
+
+// The bitmask predicates must agree with the brute-force reference on
+// random queries of every size up to MaxAtoms, including the 64-atom
+// edge where With(63) sets the sign bit and the all-atoms mask is all
+// ones.
+func TestPredicatesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sizes := []int{1, 2, 3, 5, 8, 13, 31, 63, 64, 64, 64}
+	for trial, n := range sizes {
+		for _, vars := range []int{2, n + 1, 3 * n} {
+			q := randomQuery(rng, n, vars)
+			g, ref := mustGraph(q), newRefGraph(q)
+			all := WholeQuery(n)[0]
+			randFrag := func() Fragment {
+				switch rng.Intn(6) {
+				case 0:
+					return all
+				case 1:
+					return Single(n - 1).With(rng.Intn(n))
+				case 2:
+					// A connected fragment: grow from a random atom.
+					f := Single(rng.Intn(n))
+					for k := rng.Intn(n); k > 0; k-- {
+						i := rng.Intn(n)
+						if g.Joins(i, f) {
+							f = f.With(i)
+						}
+					}
+					return f
+				default:
+					return Fragment(rng.Uint64()) & all
+				}
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if g.Adjacent(i, j) != ref.adj[i][j] {
+						t.Fatalf("trial %d: Adjacent(%d,%d) = %v", trial, i, j, g.Adjacent(i, j))
+					}
+				}
+			}
+			for k := 0; k < 200; k++ {
+				a, b := randFrag(), randFrag()
+				i := rng.Intn(n)
+				if got, want := g.Joins(i, a), ref.joins(i, a); got != want {
+					t.Fatalf("trial %d: Joins(%d, %v) = %v, want %v", trial, i, a, got, want)
+				}
+				if got, want := g.FragmentConnected(a), ref.connected(a); got != want {
+					t.Fatalf("trial %d: FragmentConnected(%v) = %v, want %v", trial, a, got, want)
+				}
+				if got, want := g.FragmentsJoin(a, b), ref.fragmentsJoin(a, b); got != want {
+					t.Fatalf("trial %d: FragmentsJoin(%v, %v) = %v, want %v", trial, a, b, got, want)
+				}
+				c := make(Cover, 1+rng.Intn(4))
+				for x := range c {
+					c[x] = randFrag()
+				}
+				if rng.Intn(4) == 0 {
+					c = NewCover(c...)
+				}
+				if got, want := g.Valid(c), ref.valid(c); got != want {
+					t.Fatalf("trial %d: Valid(%v) = %v, want %v", trial, c, got, want)
+				}
+				if got, want := c.Minimal(), refMinimal(c); got != want {
+					t.Fatalf("trial %d: Minimal(%v) = %v, want %v", trial, c, got, want)
+				}
+			}
+			if !g.FragmentConnected(Single(n-1)) || g.FragmentConnected(0) {
+				t.Fatalf("trial %d: single/empty fragment connectivity wrong", trial)
+			}
+			if g.Valid(Cover{all}) != ref.connected(all) {
+				t.Fatalf("trial %d: whole-query validity disagrees with connectivity", trial)
+			}
+		}
+	}
+}
+
+// Every enumerated cover must be valid and minimal on random query
+// shapes, from two atoms up to queries large enough to trip the bound.
 func TestEnumerateAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(4)
-		var q bgp.CQ
-		q.Head = []bgp.Term{bgp.V(0)}
-		// Random connected query: atom i joins a random earlier atom.
-		for i := 0; i < n; i++ {
-			prev := uint32(0)
-			if i > 0 {
-				prev = uint32(rng.Intn(i*2 + 1))
-			}
-			q.Atoms = append(q.Atoms, bgp.Atom{
-				S: bgp.V(prev), P: bgp.C(dict.ID(100 + i)), O: bgp.V(uint32(i*2 + 2)),
-			})
-		}
-		g := mustGraph(q)
-		g.EnumerateMinimal(10000, func(c Cover) bool {
-			if !g.Valid(c) {
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(10)
+		q := connectedQuery(rng, n)
+		g, ref := mustGraph(q), newRefGraph(q)
+		seen := make(map[string]bool)
+		g.EnumerateMinimal(2000, func(c Cover) bool {
+			if !g.Valid(c) || !ref.valid(c) {
 				t.Errorf("trial %d: invalid cover %v for %s", trial, c, q)
 			}
-			if !c.Minimal() {
+			if !c.Minimal() || !refMinimal(c) {
 				t.Errorf("trial %d: non-minimal cover %v", trial, c)
 			}
+			if seen[c.Key()] {
+				t.Errorf("trial %d: duplicate cover %v", trial, c)
+			}
+			seen[c.Key()] = true
 			return true
 		})
+	}
+}
+
+// On small queries an exhaustive enumeration must emit exactly the valid
+// minimal covers a brute-force search over all fragment sets finds.
+func TestEnumerateComplete(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(4)
+		q := randomQuery(rng, n, 2+rng.Intn(n+1))
+		g, ref := mustGraph(q), newRefGraph(q)
+		var frags []Fragment
+		for f := Fragment(1); f < Single(n); f++ {
+			if ref.connected(f) {
+				frags = append(frags, f)
+			}
+		}
+		want := make(map[string]bool)
+		for set := 1; set < 1<<len(frags); set++ {
+			var c Cover
+			for i, f := range frags {
+				if set&(1<<i) != 0 {
+					c = append(c, f)
+				}
+			}
+			if ref.valid(c) && refMinimal(c) {
+				want[c.Key()] = true
+			}
+		}
+		got := make(map[string]bool)
+		if !g.EnumerateMinimal(0, func(c Cover) bool {
+			got[c.Key()] = true
+			return true
+		}) {
+			t.Fatalf("trial %d: enumeration of %d atoms not exhaustive", trial, n)
+		}
+		if len(got) != len(want) {
+			t.Errorf("trial %d: enumerated %d covers, brute force finds %d (%s)", trial, len(got), len(want), q)
+		}
+		for k := range want {
+			if !got[k] {
+				t.Errorf("trial %d: enumeration misses a valid minimal cover", trial)
+			}
+		}
 	}
 }
 

@@ -174,6 +174,11 @@ func (st *Stats) AtomCard(a bgp.Atom) float64 {
 // looked up exactly; an atom with the same variable in two positions gets
 // the matching-pair count discounted by the corresponding distinct count.
 func (st *Stats) AtomCardOn(src CountSource, a bgp.Atom) float64 {
+	return st.discountRepeats(a, float64(st.PatternCountOn(src, atomPattern(a))))
+}
+
+// atomPattern is the storage pattern of the atom's constant positions.
+func atomPattern(a bgp.Atom) storage.Pattern {
 	pat := storage.Pattern{}
 	if !a.S.Var {
 		pat.S = a.S.Const()
@@ -184,28 +189,38 @@ func (st *Stats) AtomCardOn(src CountSource, a bgp.Atom) float64 {
 	if !a.O.Var {
 		pat.O = a.O.Const()
 	}
-	card := float64(st.PatternCountOn(src, pat))
-	// Repeated-variable discount: positions forced equal keep roughly a
-	// 1/distinct fraction of the unconstrained matches. Every extra
-	// occurrence of one variable adds an equality, whichever pair of
-	// positions repeats (S=O, S=P, P=O — or all three at once).
-	occ := make(map[uint32]int, 3)
-	for _, t := range a.Positions() {
-		if t.Var {
-			occ[t.ID]++
+	return pat
+}
+
+// discountRepeats turns raw, the exact count of the atom's constant
+// pattern, into the atom's cardinality. Repeated-variable discount:
+// positions forced equal keep roughly a 1/distinct fraction of the
+// unconstrained matches. Every extra occurrence of one variable adds an
+// equality, whichever pair of positions repeats (S=O, S=P, P=O — or all
+// three at once). Three positions hold at most one repeated variable, so
+// a scan for the first position that recurs later finds it.
+func (st *Stats) discountRepeats(a bgp.Atom, raw float64) float64 {
+	card := raw
+	pos := a.Positions()
+	for i, t := range pos[:2] {
+		if !t.Var {
+			continue
 		}
-	}
-	for v, n := range occ {
+		n := 1
+		for _, u := range pos[i+1:] {
+			if u.Var && u.ID == t.ID {
+				n++
+			}
+		}
 		if n < 2 {
 			continue
 		}
-		d := st.distinctForOn(src, a, v)
-		if d <= 1 {
-			continue
+		if d := st.distinctGiven(a, t.ID, raw); d > 1 {
+			for ; n > 1; n-- {
+				card /= d
+			}
 		}
-		for i := 1; i < n; i++ {
-			card /= d
-		}
+		break
 	}
 	return card
 }
@@ -213,24 +228,18 @@ func (st *Stats) AtomCardOn(src CountSource, a bgp.Atom) float64 {
 // DistinctForVar estimates the number of distinct values variable v takes
 // in matches of atom a; planners use it to discount bound variables.
 func (st *Stats) DistinctForVar(a bgp.Atom, v uint32) float64 {
-	return st.distinctForOn(st.store, a, v)
+	return st.DistinctForVarOn(st.store, a, v)
 }
 
 // DistinctForVarOn is DistinctForVar reading pattern counts through src.
 func (st *Stats) DistinctForVarOn(src CountSource, a bgp.Atom, v uint32) float64 {
-	return st.distinctForOn(src, a, v)
+	return st.distinctGiven(a, v, float64(st.PatternCountOn(src, atomPattern(a))))
 }
 
-// distinctFor estimates the number of distinct values variable v takes in
-// matches of atom a.
-func (st *Stats) distinctFor(a bgp.Atom, v uint32) float64 {
-	return st.distinctForOn(st.store, a, v)
-}
-
-// distinctForOn estimates the number of distinct values variable v takes
-// in matches of atom a, with exact counts read through src.
-func (st *Stats) distinctForOn(src CountSource, a bgp.Atom, v uint32) float64 {
-	card := st.atomCardIgnoringRepeatsOn(src, a)
+// distinctGiven estimates the number of distinct values variable v takes
+// in matches of atom a, given card, the exact count of a's constant
+// pattern.
+func (st *Stats) distinctGiven(a bgp.Atom, v uint32, card float64) float64 {
 	// Property-position variable: few distinct properties overall.
 	if a.P.Var && a.P.ID == v {
 		if n := len(st.props); n > 0 {
@@ -261,20 +270,6 @@ func (st *Stats) distinctForOn(src CountSource, a bgp.Atom, v uint32) float64 {
 	return maxf(card, 1)
 }
 
-func (st *Stats) atomCardIgnoringRepeatsOn(src CountSource, a bgp.Atom) float64 {
-	pat := storage.Pattern{}
-	if !a.S.Var {
-		pat.S = a.S.Const()
-	}
-	if !a.P.Var {
-		pat.P = a.P.Const()
-	}
-	if !a.O.Var {
-		pat.O = a.O.Const()
-	}
-	return float64(st.PatternCountOn(src, pat))
-}
-
 func clampDistinct(d, card float64) float64 {
 	if d < 1 {
 		d = 1
@@ -302,38 +297,114 @@ func (st *Stats) CQCard(q bgp.CQ) float64 {
 // reformulation without materializing its (possibly hundreds of thousands
 // of) member CQs: Σ_CQ |CQ| ≈ |join of the slot unions|.
 func (st *Stats) JoinOfUnionsCard(slots [][]bgp.Atom) float64 {
-	if len(slots) == 0 {
-		return 0
+	sums := make([]SlotSummary, len(slots))
+	for i, alts := range slots {
+		sums[i] = st.SummarizeSlot(alts)
 	}
-	seen := make(map[uint32]float64) // var -> smallest distinct seen so far
-	card := 1.0
-	var buf []uint32
-	for _, alts := range slots {
-		var slotCard float64
-		distinct := make(map[uint32]float64)
-		for _, a := range alts {
-			slotCard += st.AtomCard(a)
-			buf = a.Vars(buf[:0])
-			handled := make(map[uint32]bool, len(buf))
-			for _, v := range buf {
-				if handled[v] {
-					continue
-				}
-				handled[v] = true
-				distinct[v] += st.distinctFor(a, v)
+	return JoinCard(sums)
+}
+
+// SlotSummary is the one-pass statistics of one union of atoms (a slot
+// of a join of unions): Σ|alt| over its alternatives, and for every
+// variable the sum over the alternatives of its distinct-value estimate.
+type SlotSummary struct {
+	Card float64
+	// Vars lists the slot's variables in first-seen order (alternative
+	// order, then position order), so every quantity derived from a
+	// summary is a pure function of the slot — never of map iteration.
+	Vars []VarDistinct
+}
+
+// VarDistinct is one variable's summed distinct-value estimate.
+type VarDistinct struct {
+	Var      uint32
+	Distinct float64
+}
+
+// SummarizeSlot computes the summary of the union of alts in the live
+// store, reading each alternative's pattern count once.
+func (st *Stats) SummarizeSlot(alts []bgp.Atom) SlotSummary {
+	s := SlotSummary{Vars: make([]VarDistinct, 0, 3)}
+	for _, a := range alts {
+		raw := float64(st.PatternCount(atomPattern(a)))
+		s.Card += st.discountRepeats(a, raw)
+		pos := a.Positions()
+		for i, t := range pos {
+			if !t.Var || repeatsBefore(pos, i) {
+				continue
+			}
+			d := st.distinctGiven(a, t.ID, raw)
+			if j := indexVar(s.Vars, t.ID); j >= 0 {
+				s.Vars[j].Distinct += d
+			} else {
+				s.Vars = append(s.Vars, VarDistinct{t.ID, d})
 			}
 		}
-		card *= slotCard
-		for v, d := range distinct {
-			d = clampDistinct(d, slotCard)
-			if prev, ok := seen[v]; ok {
-				if m := maxf(prev, d); m > 1 {
-					card /= m
-				}
-				seen[v] = minf(prev, d)
-			} else {
-				seen[v] = d
-			}
+	}
+	return s
+}
+
+// repeatsBefore reports whether the variable at pos[i] already occurs
+// in pos[:i].
+func repeatsBefore(pos [3]bgp.Term, i int) bool {
+	for _, t := range pos[:i] {
+		if t.Var && t.ID == pos[i].ID {
+			return true
+		}
+	}
+	return false
+}
+
+// indexVar returns the index of variable v in vars, or -1.
+func indexVar(vars []VarDistinct, v uint32) int {
+	for i, vd := range vars {
+		if vd.Var == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// Bind joins a slot variable into bound, the variables bound so far
+// with their smallest distinct counts, under value-set containment. It
+// returns the updated set and the join's selectivity divisor: the larger
+// of the two distinct counts when vd.Var was already bound and that
+// count exceeds 1, and 1 otherwise.
+func Bind(bound []VarDistinct, vd VarDistinct) ([]VarDistinct, float64) {
+	j := indexVar(bound, vd.Var)
+	if j < 0 {
+		return append(bound, vd), 1
+	}
+	prev := bound[j].Distinct
+	bound[j].Distinct = minf(prev, vd.Distinct)
+	if m := maxf(prev, vd.Distinct); m > 1 {
+		return bound, m
+	}
+	return bound, 1
+}
+
+// JoinCard estimates the cardinality of the join of the summarized
+// slots, in slot order: each slot multiplies the running result by its
+// Σ|alt|, and each variable it shares with an earlier slot divides it by
+// the larger of the two (clamped) distinct counts — value-set
+// containment, as in CQCard.
+func JoinCard(sums []SlotSummary) float64 {
+	if len(sums) == 0 {
+		return 0
+	}
+	n := 0
+	for _, s := range sums {
+		n += len(s.Vars)
+	}
+	seen := make([]VarDistinct, 0, n)
+	card := 1.0
+	for _, s := range sums {
+		card *= s.Card
+		for _, vd := range s.Vars {
+			vd.Distinct = clampDistinct(vd.Distinct, s.Card)
+			var m float64
+			seen, m = Bind(seen, vd)
+			card /= m
 		}
 		if card <= 0 {
 			return 0

@@ -145,6 +145,81 @@ func TestJoinOfUnionsMonotone(t *testing.T) {
 	}
 }
 
+// A slot summary is one pass over the slot's alternatives: Σ AtomCard,
+// and per variable Σ DistinctForVar over the alternatives that carry it,
+// with variables in first-seen order and an atom's repeated variable
+// counted once.
+func TestSummarizeSlot(t *testing.T) {
+	e := testkit.Random(5, 100)
+	_, s := collect(e)
+	p, q := e.ID("p0"), e.ID("p1")
+	alts := []bgp.Atom{
+		{S: bgp.V(3), P: bgp.C(p), O: bgp.V(1)},
+		{S: bgp.V(1), P: bgp.C(q), O: bgp.V(1)},
+		{S: bgp.V(3), P: bgp.V(2), O: bgp.V(4)},
+	}
+	sum := s.SummarizeSlot(alts)
+	var card float64
+	for _, a := range alts {
+		card += s.AtomCard(a)
+	}
+	if sum.Card != card {
+		t.Errorf("Card = %v, want Σ AtomCard = %v", sum.Card, card)
+	}
+	want := []stats.VarDistinct{
+		{Var: 3, Distinct: s.DistinctForVar(alts[0], 3) + s.DistinctForVar(alts[2], 3)},
+		{Var: 1, Distinct: s.DistinctForVar(alts[0], 1) + s.DistinctForVar(alts[1], 1)},
+		{Var: 2, Distinct: s.DistinctForVar(alts[2], 2)},
+		{Var: 4, Distinct: s.DistinctForVar(alts[2], 4)},
+	}
+	if len(sum.Vars) != len(want) {
+		t.Fatalf("Vars = %+v, want %+v", sum.Vars, want)
+	}
+	for i := range want {
+		if sum.Vars[i] != want[i] {
+			t.Errorf("Vars[%d] = %+v, want %+v", i, sum.Vars[i], want[i])
+		}
+	}
+}
+
+// JoinCard multiplies slot cardinalities and divides by the larger
+// distinct count of each shared variable, after clamping a slot's summed
+// distinct count to its cardinality.
+func TestJoinCard(t *testing.T) {
+	sums := []stats.SlotSummary{
+		{Card: 10, Vars: []stats.VarDistinct{{Var: 0, Distinct: 2}, {Var: 1, Distinct: 10}}},
+		// Var 0 sums to 6 distinct values over 5 tuples: clamped to 5.
+		{Card: 5, Vars: []stats.VarDistinct{{Var: 0, Distinct: 6}}},
+	}
+	if got, want := stats.JoinCard(sums), 10.0*5/5; got != want {
+		t.Errorf("JoinCard = %v, want %v", got, want)
+	}
+	if got := stats.JoinCard(nil); got != 0 {
+		t.Errorf("JoinCard of no slots = %v, want 0", got)
+	}
+	empty := append(sums, stats.SlotSummary{Card: 0})
+	if got := stats.JoinCard(empty); got != 0 {
+		t.Errorf("JoinCard with an empty slot = %v, want 0", got)
+	}
+}
+
+// Bind divides by the larger distinct count of a rebound variable, keeps
+// the smaller one, and never divides by a count below 1.
+func TestBind(t *testing.T) {
+	bound, m := stats.Bind(nil, stats.VarDistinct{Var: 7, Distinct: 4})
+	if m != 1 || len(bound) != 1 {
+		t.Fatalf("first binding: divisor %v, bound %+v", m, bound)
+	}
+	bound, m = stats.Bind(bound, stats.VarDistinct{Var: 7, Distinct: 9})
+	if m != 9 || bound[0].Distinct != 4 {
+		t.Errorf("rebinding: divisor %v, bound %+v; want 9 and distinct 4", m, bound)
+	}
+	bound, m = stats.Bind([]stats.VarDistinct{{Var: 7, Distinct: 0}}, stats.VarDistinct{Var: 7, Distinct: 0.5})
+	if m != 1 || bound[0].Distinct != 0 {
+		t.Errorf("sub-unit counts: divisor %v, bound %+v; want 1 and distinct 0", m, bound)
+	}
+}
+
 func TestDistinctForVar(t *testing.T) {
 	e := testkit.Paper()
 	_, s := collect(e)
